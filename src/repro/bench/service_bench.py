@@ -310,7 +310,7 @@ def run_net_point(
     transport: str, ops: int = DEFAULT_NET_OPS, wal_dir: str | None = None
 ) -> NetPoint:
     """Time ``ops`` synchronous durable appends over one transport."""
-    from repro.service.net import NetServer, ServiceClient
+    from repro.service.net import AsyncNetServer, ServiceClient
 
     wal_path = None
     if wal_dir is not None:
@@ -321,7 +321,7 @@ def run_net_point(
     server = client = None
     try:
         if transport == "tcp":
-            server = NetServer(service).start()
+            server = AsyncNetServer(service).start()
             host, port = server.address
             client = ServiceClient(host, port)
             submit_wait = client.submit_wait
@@ -411,8 +411,8 @@ class ConnectionPoint:
 
     The fleet is opened (bounded concurrency), then one member measures
     ``pings`` round trips while the rest sit idle — the curve shows what
-    an idle connection costs the event loop.  The thread-per-connection
-    server pays a thread per member; the asyncio server pays a task.
+    an idle connection costs the event loop: the asyncio server pays
+    one task per member, not a thread.
     """
 
     connections: int
@@ -787,7 +787,7 @@ def run_read_point(
     """Run the mixed read/write workload with ``threads`` clients."""
     import threading
 
-    from repro.service.net import NetServer, ServiceClient
+    from repro.service.net import AsyncNetServer, ServiceClient
 
     registry = get_registry()
     statements = read_statements()
@@ -812,7 +812,7 @@ def run_read_point(
         clients: list[ServiceClient] = []
         try:
             if transport == "tcp":
-                server = NetServer(service).start()
+                server = AsyncNetServer(service).start()
                 host, port = server.address
                 clients = [ServiceClient(host, port) for _ in range(threads)]
 

@@ -12,8 +12,7 @@ Usage::
     python -m repro serve    --xml doc.xml --wal doc.wal [--batch-size N]
                              [--checkpoint-every N] [--checkpoint-bytes N]
                              [--checkpoint-dir DIR] [--trace-out spans.json]
-                             [--listen HOST:PORT [--async]
-                              [--max-connections N]
+                             [--listen HOST:PORT [--max-connections N]
                               [--max-inflight N] [--port-file FILE]]
     python -m repro connect  --addr HOST:PORT [--doc NAME] [--timeout S]
                              [--stats | --checkpoint | --exec STMT ...]
@@ -33,10 +32,9 @@ deltas, group-committed through the write-ahead log, and applied;
 ``--checkpoint-every`` / ``--checkpoint-bytes`` arm the automatic
 checkpoint policy (snapshot the state, retire covered WAL segments).
 With ``--listen HOST:PORT`` the service is additionally fronted by the
-framed TCP protocol (:mod:`repro.service.net`) and stdin becomes a
-control console (add ``--async`` for the asyncio front end: pipelined
-frames, streamed responses, 10k+ connections); ``connect`` is the
-matching client — statements are
+framed TCP protocol (:mod:`repro.service.net`: an asyncio server with
+pipelined frames and streamed responses) and stdin becomes a control
+console; ``connect`` is the matching client — statements are
 executed *server-side* (reads under the read lock, updates through the
 scratch-copy → diff → group-commit pipeline).
 ``replay`` recovers a crashed service's WAL — restoring the last
@@ -182,13 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="admission control: per-connection async ops in flight "
         "(default 64)",
-    )
-    serve.add_argument(
-        "--async",
-        dest="async_server",
-        action="store_true",
-        help="with --listen: serve on the asyncio front end (pipelined "
-        "frames, 10k+ connections) instead of thread-per-connection",
     )
     serve.add_argument(
         "--shards",
@@ -544,11 +535,10 @@ def _serve_listen(args, service, name: str) -> int:
     """`serve --listen`: front the service with the TCP protocol; stdin
     becomes a small control console instead of a statement stream."""
     from repro.obs import get_tracer
-    from repro.service.net import AsyncNetServer, NetServer, parse_address
+    from repro.service.net import AsyncNetServer, parse_address
 
     host, port = parse_address(args.listen)
-    server_cls = AsyncNetServer if args.async_server else NetServer
-    server = server_cls(
+    server = AsyncNetServer(
         service,
         host,
         port,
@@ -557,9 +547,8 @@ def _serve_listen(args, service, name: str) -> int:
         own_service=True,
     ).start()
     bound_host, bound_port = server.address
-    transport = "asyncio" if args.async_server else "threaded"
     print(
-        f"-- listening on {bound_host}:{bound_port} ({transport})",
+        f"-- listening on {bound_host}:{bound_port}",
         file=sys.stderr,
         flush=True,
     )

@@ -3,7 +3,7 @@
 The write path scales with group commit; before this module the read
 path did not scale at all — every ``query`` serialised behind the one
 per-store SQLite connection lock in
-:class:`~repro.relational.database.Database`, so the threaded front
+:class:`~repro.relational.database.Database`, so the network front
 end gained nothing from concurrent clients on read-heavy workloads.
 
 SQLite's in-memory databases are private to their connection, so the

@@ -31,7 +31,6 @@ from repro.service.locks import LockManager, ReadWriteLock
 from repro.service.net import (
     AsyncNetServer,
     AsyncServiceClient,
-    NetServer,
     ServiceClient,
     parse_address,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "GroupCommitBatcher",
     "InjectedCrash",
     "LockManager",
-    "NetServer",
     "ReadWriteLock",
     "RecoveryReport",
     "ServiceClient",

@@ -74,6 +74,11 @@ class Ticket:
     def done(self) -> bool:
         return self._done.is_set()
 
+    @property
+    def failed(self) -> bool:
+        """Resolved with an apply error (which :meth:`wait` raises)."""
+        return self._error is not None
+
     def wait(self, timeout: Optional[float] = None) -> Optional[int]:
         """Block until resolved; returns the WAL sequence number (None if
         the service runs without a WAL), or raises the apply error."""

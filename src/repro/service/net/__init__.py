@@ -1,22 +1,15 @@
 """Network front end for the update service.
 
-The package splits along the axis the shard router will reuse:
-
 * :mod:`~repro.service.net.core` — the transport-agnostic framing
-  codec (length-prefixed JSON frames, the incremental
-  :class:`FrameDecoder`, protocol v2 chunked responses, error-code
-  mapping);
+  codec (length-prefixed JSON frames, chunked responses, error-code
+  mapping, the single wire version);
 * :mod:`~repro.service.net.handlers` — the request
-  :class:`~repro.service.net.handlers.Dispatcher` shared by both
-  servers;
-* :mod:`~repro.service.net.threaded` — the thread-per-connection
-  :class:`NetServer` and the blocking :class:`ServiceClient`;
-* :mod:`~repro.service.net.aio` — the asyncio
-  :class:`AsyncNetServer` (pipelined frames, 10k+ connections) and
-  :class:`AsyncServiceClient`.
-
-Everything importable from the old ``repro.service.net`` module is
-re-exported here unchanged.
+  :class:`~repro.service.net.handlers.Dispatcher`;
+* :mod:`~repro.service.net.aio` — the server,
+  :class:`AsyncNetServer` (pipelined frames, 10k+ connections), and
+  the async client, :class:`AsyncServiceClient`;
+* :mod:`~repro.service.net.client` — :class:`ServiceClient`, the
+  blocking, thread-safe façade over the async client.
 """
 
 from repro.service.net.aio import (
@@ -31,10 +24,8 @@ from repro.service.net.core import (
     HEADER,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_CHUNKED,
     SUPPORTED_VERSIONS,
     ChunkAssembler,
-    FrameDecoder,
     decode_frame_payload,
     encode_frame,
     error_frame,
@@ -44,8 +35,8 @@ from repro.service.net.core import (
     send_frame,
     split_response,
 )
+from repro.service.net.client import ServiceClient
 from repro.service.net.handlers import Dispatcher
-from repro.service.net.threaded import NetServer, ServiceClient
 
 __all__ = [
     "AsyncNetServer",
@@ -54,12 +45,9 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "Dispatcher",
     "ERROR_CODES",
-    "FrameDecoder",
     "HEADER",
     "MAX_FRAME_BYTES",
-    "NetServer",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_CHUNKED",
     "SUPPORTED_VERSIONS",
     "ServiceClient",
     "decode_frame_payload",

@@ -1,38 +1,35 @@
-"""The asyncio front end: an event-loop server multiplexing thousands
-of connections with pipelined frames, and an async client.
+"""The asyncio front end: the event-loop server multiplexing thousands
+of connections with pipelined frames, and the async client.
 
 **Server shape.**  :class:`AsyncNetServer` hosts an asyncio event loop
 on a background thread, so its lifecycle API (``start`` / ``address`` /
-``close``) is synchronous and drop-in for :class:`NetServer` — the CLI,
-tests, and benches drive either interchangeably.  Each connection is a
-coroutine that *only* parses frames and writes responses; every
-dispatch (SQLite through the reader pool, group-commit waits — all
-blocking by design) runs on a thread-pool executor.  An idle connection
-therefore costs one task and a few KiB, which is what lets one process
-hold 10k+ connections where thread-per-connection capped out at
-hundreds.
+``close``) is synchronous — the CLI, tests, and benches drive it like
+any blocking object.  Each connection is a coroutine that *only* parses
+frames and writes responses; every dispatch (SQLite through the reader
+pool, group-commit waits — all blocking by design) runs on a
+thread-pool executor.  An idle connection therefore costs one task and
+a few KiB, which is what lets one process hold 10k+ connections.
 
-**Pipelining.**  Request ids already permit out-of-order completion, so
-the one-in-flight-per-connection restriction is gone: the read loop
-keeps parsing frames while earlier dispatches are still executing, each
-response is written (under a per-connection write lock, so chunk
+**Pipelining.**  Request ids permit out-of-order completion: the read
+loop keeps parsing frames while earlier dispatches are still executing,
+each response is written (under a per-connection write lock, so chunk
 sequences stay contiguous) whenever its dispatch finishes, and
 ``max_inflight`` bounds the concurrently executing requests per
 connection — the excess is shed with retryable ``BUSY`` frames instead
 of buffered.
 
-**Admission and drain** carry over from the threaded server: at most
-``max_connections`` (excess answered with one ``BUSY`` frame and
-closed), and ``close()`` stops accepting, lets in-flight dispatches
-finish against a deadline, closes each session (waiting out its tickets
-— acked async submits are durable before drain completes), counts
-stragglers into ``net.close.undrained_connections``, and finally closes
-the service when it owns it.  All ``net.*`` metrics carry over too.
+**Admission and drain.**  At most ``max_connections`` connections
+(excess answered with one ``BUSY`` frame and closed).  ``close()``
+stops accepting, lets in-flight dispatches finish against a deadline,
+closes each session (waiting out its tickets — acked async submits are
+durable before drain completes), counts stragglers into
+``net.close.undrained_connections``, and finally closes the service
+when it owns it.
 
-**Streaming responses.**  A v2 request whose query result exceeds the
-chunk threshold is answered with bounded chunk frames
-(:func:`~repro.service.net.core.split_response`); v1 connections get
-the original single-frame responses.
+**Streaming responses.**  A query result that exceeds the chunk
+threshold is answered with bounded chunk frames
+(:func:`~repro.service.net.core.split_response`), which the client
+reassembles.
 """
 
 from __future__ import annotations
@@ -59,8 +56,7 @@ from repro.service.net.core import (
     DEFAULT_CHUNK_BYTES,
     HEADER,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION_CHUNKED,
-    SUPPORTED_VERSIONS,
+    PROTOCOL_VERSION,
     ChunkAssembler,
     decode_frame_payload,
     encode_frame,
@@ -121,8 +117,9 @@ class AsyncNetServer:
     """An asyncio TCP front end over one :class:`UpdateService`.
 
     The event loop runs on a background thread, so ``start()`` /
-    ``close()`` are synchronous and the server is interchangeable with
-    the threaded :class:`~repro.service.net.threaded.NetServer`.
+    ``close()`` are synchronous.  The server does not own the service
+    unless ``own_service`` is set — with it set, :meth:`close` finishes
+    the drain by calling ``service.close()``.
     """
 
     def __init__(
@@ -382,7 +379,6 @@ class _AsyncConnection:
                     # Shed instead of buffering: the pipeline is full.
                     registry.counter("net.rejected").inc()
                     request_id = request.get("id", 0)
-                    version = request.get("v")
                     await self._send_frames(
                         [
                             error_frame(
@@ -392,7 +388,6 @@ class _AsyncConnection:
                                     f"requests executing (limit "
                                     f"{server._max_inflight}); slow down"
                                 ),
-                                version if version in SUPPORTED_VERSIONS else 1,
                             )
                         ]
                     )
@@ -478,9 +473,8 @@ class AsyncServiceClient:
     Many coroutines may issue requests concurrently on one connection;
     a background receive task routes responses to futures by id, so
     completion order is independent of submission order (that is the
-    pipelining the bench sweeps measure).  Defaults to protocol v2 —
-    large query results arrive as bounded chunks reassembled by
-    :class:`ChunkAssembler` — and speaks v1 on request for old servers.
+    pipelining the bench sweeps measure).  Large query results arrive
+    as bounded chunks reassembled by :class:`ChunkAssembler`.
 
     Construct with :meth:`connect`::
 
@@ -499,14 +493,10 @@ class AsyncServiceClient:
         writer: asyncio.StreamWriter,
         *,
         request_timeout: float = 30.0,
-        protocol: int = PROTOCOL_VERSION_CHUNKED,
     ) -> None:
-        if protocol not in SUPPORTED_VERSIONS:
-            raise ProtocolError(f"unsupported protocol version {protocol!r}")
         self._reader = reader
         self._writer = writer
         self._request_timeout = request_timeout
-        self._protocol = protocol
         self._write_lock = asyncio.Lock()
         self._pending: dict[int, tuple[asyncio.Future, ChunkAssembler]] = {}
         self._next_id = 0
@@ -522,7 +512,6 @@ class AsyncServiceClient:
         *,
         connect_timeout: float = 5.0,
         request_timeout: float = 30.0,
-        protocol: int = PROTOCOL_VERSION_CHUNKED,
     ) -> "AsyncServiceClient":
         try:
             reader, writer = await asyncio.wait_for(
@@ -536,12 +525,7 @@ class AsyncServiceClient:
             raise ServiceConnectionError(
                 f"cannot connect to {host}:{port}: {error}"
             ) from error
-        client = cls(
-            reader,
-            writer,
-            request_timeout=request_timeout,
-            protocol=protocol,
-        )
+        client = cls(reader, writer, request_timeout=request_timeout)
         client._receiver = asyncio.create_task(client._receive_loop())
         return client
 
@@ -601,12 +585,12 @@ class AsyncServiceClient:
         if self._closed:
             raise ServiceClosedError("client is closed")
         if self._dead is not None:
-            raise ServiceClosedError(f"client connection is dead: {self._dead}")
+            raise self._dead  # the typed error that killed the connection
         effective = self._request_timeout if timeout is None else timeout
         self._next_id += 1
         request_id = self._next_id
         message = {
-            "v": self._protocol,
+            "v": PROTOCOL_VERSION,
             "op": kind,
             "timeout": effective,
             "id": request_id,
@@ -639,7 +623,7 @@ class AsyncServiceClient:
         return response
 
     # ------------------------------------------------------------------
-    # API (mirrors the blocking ServiceClient)
+    # API (the blocking ServiceClient wraps these one to one)
     # ------------------------------------------------------------------
     async def ping(self) -> list[str]:
         return (await self._request("ping"))["documents"]
@@ -736,9 +720,13 @@ class AsyncServiceClient:
         return {key: response[key] for key in ("service", "net", "metrics")}
 
     async def close(self) -> None:
+        """Close the connection; requests still waiting on it fail with
+        :class:`ServiceClosedError` instead of running out their
+        timeouts."""
         if self._closed:
             return
         self._closed = True
+        self._fail(ServiceClosedError("client is closed"))
         if self._receiver is not None:
             self._receiver.cancel()
             try:

@@ -1,38 +1,28 @@
 """The framing core shared by every speaker of the wire protocol.
 
-Four parties speak the same frames — the threaded server, the asyncio
-server, the blocking client, and the async client (and, next, the
-shard router, which is why this lives in its own module): a 4-byte
-big-endian unsigned length prefix followed by that many bytes of UTF-8
-JSON.  This module owns everything protocol-shaped and
+Three parties speak the same frames — the asyncio server, the async
+client (which the blocking client wraps), and the shard router: a
+4-byte big-endian unsigned length prefix followed by that many bytes
+of UTF-8 JSON.  This module owns everything protocol-shaped and
 transport-agnostic:
 
-* the constants (:data:`MAX_FRAME_BYTES`, :data:`HEADER`, the protocol
-  versions) and the error-code ↔ exception mapping;
+* the constants (:data:`MAX_FRAME_BYTES`, :data:`HEADER`,
+  :data:`PROTOCOL_VERSION`) and the error-code ↔ exception mapping;
 * byte-level encode/decode (:func:`encode_frame`,
-  :func:`decode_frame_payload`) plus the blocking socket helpers
-  (:func:`send_frame`, :func:`recv_frame`) the original protocol
-  shipped with;
-* :class:`FrameDecoder` — an incremental *sans-IO* decoder: feed it
-  whatever byte slices the transport produced, however fragmented or
-  coalesced, and it yields exactly the frames that were sent.  Both
-  clients receive through it, and the Hypothesis suite drives it with
-  randomly re-chunked streams;
-* chunked responses (protocol v2): :func:`split_response` turns one
-  large response into a sequence of bounded chunk frames, and
-  :class:`ChunkAssembler` reassembles them on the client.
+  :func:`decode_frame_payload`) plus small blocking socket helpers
+  (:func:`send_frame`, :func:`recv_frame`) for raw-socket probes;
+* chunked responses: :func:`split_response` turns one large response
+  into a sequence of bounded chunk frames, and :class:`ChunkAssembler`
+  reassembles them on the client.
 
-**Versions.**  v1 is the original protocol and is unchanged: one
-request frame, one response frame, at most :data:`MAX_FRAME_BYTES`
-each.  A client that sends ``"v": 2`` additionally declares the
-*chunked-response capability*: the server may answer a ``query`` whose
+**Version.**  There is one wire version, 2; a request naming any other
+is answered ``BAD_REQUEST``.  The server may answer a ``query`` whose
 payload exceeds its chunk threshold with a sequence of frames
 ``{"id": N, "ok": true, "chunk": i, "more": true, ...part...}``
 terminated by a ``"more": false`` frame carrying the final part (and
 any scalar result fields).  Every chunk is bounded, so an 8 MiB
 outer-union result streams as ~32 × 256 KiB frames instead of one
-allocation at the cap.  Servers answer in the version the request
-named, so v1 and v2 clients coexist on one server.
+allocation at the cap.
 """
 
 from __future__ import annotations
@@ -50,16 +40,13 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 
-#: The baseline protocol (one frame per response).
-PROTOCOL_VERSION = 1
-#: The chunked-response capability: a v2 request permits the server to
-#: stream large query results as bounded chunk frames.
-PROTOCOL_VERSION_CHUNKED = 2
-#: Versions a server accepts (a response echoes its request's version).
-SUPPORTED_VERSIONS = (PROTOCOL_VERSION, PROTOCOL_VERSION_CHUNKED)
+#: The wire version every request and response carries.
+PROTOCOL_VERSION = 2
+#: Versions a server accepts.
+SUPPORTED_VERSIONS = (PROTOCOL_VERSION,)
 
 MAX_FRAME_BYTES = 8 * 1024 * 1024
-#: Payload bound for one chunk of a streamed (v2) response.
+#: Payload bound for one chunk of a streamed response.
 DEFAULT_CHUNK_BYTES = 256 * 1024
 HEADER = struct.Struct(">I")
 
@@ -95,11 +82,9 @@ def error_to_exception(record: object) -> ServiceError:
     return cls(message)
 
 
-def error_frame(
-    request_id: int, error: Exception, version: int = PROTOCOL_VERSION
-) -> dict:
+def error_frame(request_id: int, error: Exception) -> dict:
     return {
-        "v": version,
+        "v": PROTOCOL_VERSION,
         "id": request_id,
         "ok": False,
         "error": {
@@ -131,49 +116,8 @@ def decode_frame_payload(payload: bytes) -> dict:
     return obj
 
 
-class FrameDecoder:
-    """An incremental frame decoder with no opinion about transport.
-
-    TCP is a byte stream: one ``send`` may arrive as many reads, many
-    sends as one.  The decoder buffers whatever arrives and emits a
-    frame exactly when its length prefix is satisfied — so a receive
-    loop built on it can use short read timeouts (or arbitrary chunk
-    sizes) without ever desynchronising mid-frame: partial bytes simply
-    stay buffered until the next feed.
-    """
-
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
-        self._buffer = bytearray()
-        self._max_frame_bytes = max_frame_bytes
-
-    @property
-    def mid_frame(self) -> bool:
-        """True when a partial frame is buffered (EOF now is an error)."""
-        return len(self._buffer) > 0
-
-    def feed(self, data: bytes) -> list[dict]:
-        """Buffer ``data`` and return every frame it completed."""
-        self._buffer.extend(data)
-        frames: list[dict] = []
-        while True:
-            if len(self._buffer) < HEADER.size:
-                break
-            (length,) = HEADER.unpack_from(self._buffer)
-            if length > self._max_frame_bytes:
-                raise ProtocolError(
-                    f"frame of {length} bytes exceeds {self._max_frame_bytes}"
-                )
-            end = HEADER.size + length
-            if len(self._buffer) < end:
-                break
-            payload = bytes(self._buffer[HEADER.size : end])
-            del self._buffer[:end]
-            frames.append(decode_frame_payload(payload))
-        return frames
-
-
 # ----------------------------------------------------------------------
-# Blocking socket I/O (threaded server + blocking client)
+# Blocking socket I/O (raw-socket probes and stand-in servers)
 # ----------------------------------------------------------------------
 def send_frame(sock: socket.socket, obj: dict) -> None:
     sock.sendall(encode_frame(obj))
@@ -208,15 +152,6 @@ def recv_frame(sock: socket.socket) -> Optional[dict]:
     return decode_frame_payload(payload)
 
 
-def _recv_strict(sock: socket.socket, count: int) -> bytes:
-    """Like :func:`_recv_exact`, but EOF anywhere is a protocol error
-    (used once a frame has started arriving)."""
-    data = _recv_exact(sock, count)
-    if data is None:
-        raise ProtocolError("connection closed mid-frame")
-    return data
-
-
 def parse_address(text: str) -> tuple[str, int]:
     """``HOST:PORT`` → ``(host, port)`` (for ``--listen`` / ``--addr``)."""
     host, separator, port = text.rpartition(":")
@@ -229,7 +164,7 @@ def parse_address(text: str) -> tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Chunked (streaming) responses — protocol v2
+# Chunked (streaming) responses
 # ----------------------------------------------------------------------
 #: The response fields a server may stream.  ``text`` parts are string
 #: slices (concatenated on reassembly); ``results`` parts are list
@@ -272,21 +207,17 @@ def split_response(
 ) -> list[dict]:
     """One response → the frame sequence to send.
 
-    Returns ``[response]`` untouched unless the response is a v2
-    success whose streamable payload (``text`` or ``results``) exceeds
+    Returns ``[response]`` untouched unless the response is a success
+    whose streamable payload (``text`` or ``results``) exceeds
     ``chunk_bytes`` — then a list of bounded chunk frames, each
     carrying a ``chunk`` ordinal and ``more`` flag, the final one also
     carrying every non-streamed field of the original response.
     """
-    if (
-        response.get("v", PROTOCOL_VERSION) < PROTOCOL_VERSION_CHUNKED
-        or not response.get("ok", False)
-        or _payload_size(response) <= chunk_bytes
-    ):
+    if not response.get("ok", False) or _payload_size(response) <= chunk_bytes:
         return [response]
     parts = list(_iter_parts(response, chunk_bytes))
     frames: list[dict] = []
-    base = {"v": response["v"], "id": response.get("id", 0), "ok": True}
+    base = {"v": PROTOCOL_VERSION, "id": response.get("id", 0), "ok": True}
     for index, (field, part) in enumerate(parts):
         last = index == len(parts) - 1
         frame = dict(response) if last else dict(base)

@@ -1,4 +1,4 @@
-"""Request dispatch shared by the threaded and asyncio servers.
+"""Request dispatch for the network server.
 
 A :class:`Dispatcher` owns everything about a request that does not
 depend on the transport: version and shape validation, the
@@ -6,9 +6,8 @@ per-request monotonic deadline (clamped to the server's ceiling), the
 per-connection in-flight admission bound, payload decoding through the
 WAL codec, the per-document execute locks, and the handler for each
 request kind.  ``dispatch(session, request)`` is a plain blocking call
-returning the complete response frame — the threaded server calls it
-on the connection thread, the asyncio server calls it on its executor,
-and both send whatever frames :func:`~repro.service.net.core.
+returning the complete response frame — the asyncio server calls it on
+its executor and sends whatever frames :func:`~repro.service.net.core.
 split_response` derives from the result.
 """
 
@@ -26,11 +25,7 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 from repro.obs import get_registry
-from repro.service.net.core import (
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    error_frame,
-)
+from repro.service.net.core import PROTOCOL_VERSION, SUPPORTED_VERSIONS, error_frame
 from repro.service.ops import (
     DeltaUpdate,
     ServiceOp,
@@ -79,7 +74,7 @@ class Dispatcher:
                 request_id if isinstance(request_id, int) else 0,
                 ProtocolError(
                     f"unsupported protocol version {version!r}; this server "
-                    f"speaks v{PROTOCOL_VERSION}-v{max(SUPPORTED_VERSIONS)}"
+                    f"speaks v{PROTOCOL_VERSION}"
                 ),
             )
         try:
@@ -92,12 +87,10 @@ class Dispatcher:
             deadline = self._deadline(request)
             result = handler(self, session, request, deadline)
         except ReproError as error:
-            return error_frame(request_id, error, version)
+            return error_frame(request_id, error)
         except Exception as error:  # never leak a traceback over the wire
-            return error_frame(
-                request_id, ServiceError(f"internal error: {error}"), version
-            )
-        result.update({"v": version, "id": request_id, "ok": True})
+            return error_frame(request_id, ServiceError(f"internal error: {error}"))
+        result.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
         return result
 
     def _deadline(self, request: dict) -> float:

@@ -84,12 +84,12 @@ def replay(
     is a bug, not a data problem).  Records with ``seq <= min_seq`` are
     not replayed — the caller's snapshot already reflects them.
 
-    A fuzzy (manifest v2) checkpoint covers each document at its own
-    log position: ``doc_min_seq`` maps a document to its covered seq,
-    overriding ``min_seq`` for that document's records — a record
-    replays only past its *own* document's threshold.  Documents absent
-    from the mapping fall back to ``min_seq`` (for a v1 manifest the
-    mapping is None and the single global threshold governs)."""
+    A fuzzy checkpoint covers each document at its own log position:
+    ``doc_min_seq`` maps a document to its covered seq, overriding
+    ``min_seq`` for that document's records — a record replays only
+    past its *own* document's threshold.  Documents absent from the
+    mapping (or every document, when it is None) fall back to
+    ``min_seq``."""
     report = RecoveryReport()
     with span("recovery.scan"):
         records, torn = wal.scan()

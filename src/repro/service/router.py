@@ -59,6 +59,7 @@ from repro.service.net.aio import AsyncServiceClient
 from repro.service.net.core import (
     HEADER,
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
     decode_frame_payload,
     encode_frame,
@@ -550,7 +551,7 @@ class ShardRouter:
 
     def _ping_response(self, request: dict) -> dict:
         return {
-            "v": request.get("v"),
+            "v": PROTOCOL_VERSION,
             "id": request.get("id"),
             "ok": True,
             "pong": True,
@@ -590,8 +591,8 @@ class _Upstream:
         self.generation = link.generation
         self.reader = reader
         self.writer = writer
-        #: request id → (monotonic deadline, protocol version)
-        self.pending: dict[int, tuple[float, int]] = {}
+        #: request id → monotonic deadline
+        self.pending: dict[int, float] = {}
         self.dead = False
         self._pump_task: Optional[asyncio.Task] = None
 
@@ -637,16 +638,10 @@ class _Upstream:
         error = ServiceBusyError(
             f"shard {self.link.index} connection lost; retry"
         )
-        abandoned = list(self.pending.items())
+        abandoned = list(self.pending)
         self.pending.clear()
-        for request_id, (_deadline, version) in abandoned:
-            await self.connection.send_frame(
-                error_frame(
-                    request_id,
-                    error,
-                    version if version in SUPPORTED_VERSIONS else 1,
-                )
-            )
+        for request_id in abandoned:
+            await self.connection.send_frame(error_frame(request_id, error))
         if abandoned:
             get_registry().counter("router.abandoned_inflight").inc(len(abandoned))
         self.connection.router._shard_trouble(self.link)
@@ -656,7 +651,7 @@ class _Upstream:
         abandoned them; a response would be discarded by id anyway)."""
         expired = [
             request_id
-            for request_id, (deadline, _version) in self.pending.items()
+            for request_id, deadline in self.pending.items()
             if now > deadline
         ]
         for request_id in expired:
@@ -783,7 +778,7 @@ class _RouterConnection:
                     safe_id,
                     ProtocolError(
                         f"unsupported protocol version {version!r}; this router "
-                        f"speaks v{min(SUPPORTED_VERSIONS)}-v{max(SUPPORTED_VERSIONS)}"
+                        f"speaks v{PROTOCOL_VERSION}"
                     ),
                 )
             )
@@ -818,10 +813,7 @@ class _RouterConnection:
             if not isinstance(timeout, (int, float)) or timeout <= 0:
                 timeout = self.router._max_request_timeout
             clamped = min(float(timeout), self.router._max_request_timeout)
-            upstream.pending[request_id] = (
-                time.monotonic() + clamped + 5.0,
-                version,
-            )
+            upstream.pending[request_id] = time.monotonic() + clamped + 5.0
             try:
                 await upstream.send(payload)
             except ServiceBusyError:
@@ -831,10 +823,10 @@ class _RouterConnection:
         except ReproError as error:
             if isinstance(error, ServiceBusyError):
                 registry.counter("router.busy").inc()
-            await self.send_frame(error_frame(safe_id, error, version))
+            await self.send_frame(error_frame(safe_id, error))
         except Exception as error:  # never leak a traceback over the wire
             await self.send_frame(
-                error_frame(safe_id, ServiceError(f"internal error: {error}"), version)
+                error_frame(safe_id, ServiceError(f"internal error: {error}"))
             )
 
     async def _upstream(self, shard: int) -> _Upstream:
@@ -868,22 +860,19 @@ class _RouterConnection:
         return upstream
 
     async def _broadcast(self, kind: str, request: dict) -> None:
-        version = request.get("v")
         request_id = request.get("id", 0)
         try:
             responses = await self.router._fanout(kind, request)
             merged = self.router._merge_broadcast(kind, responses)
-            merged.update({"v": version, "id": request_id, "ok": True})
+            merged.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
             await self.send_frame(merged)
         except asyncio.CancelledError:
             raise
         except ReproError as error:
-            await self.send_frame(error_frame(request_id, error, version))
+            await self.send_frame(error_frame(request_id, error))
         except Exception as error:
             await self.send_frame(
-                error_frame(
-                    request_id, ServiceError(f"internal error: {error}"), version
-                )
+                error_frame(request_id, ServiceError(f"internal error: {error}"))
             )
 
     # ------------------------------------------------------------------

@@ -14,14 +14,14 @@ and per-document reader-writer locks:
 * ``flush`` is a barrier over everything submitted before it;
 * ``close`` drains the queue, stops the committer, and closes the WAL.
 
-Batch application coalesces *adjacent* compatible relational operations
-per document — same kind, relation, and (for copies) target parent —
-into one strategy invocation, which is where the measured
-statements-per-update drop at batch size 64 comes from.  Store hosts
-get transactional batches: if any operation of a document's group
-fails, the whole group rolls back and every one of its tickets fails.
-Document hosts apply deltas in place, so a failing delta fails only its
-own ticket.
+Batch application coalesces each *adjacent* run of subtree deletes on
+one relation per document into one strategy invocation, which is where
+the measured statements-per-update drop at batch size 64 comes from
+(copies are applied one by one, exactly as recovery replays them).
+Store hosts get transactional batches: if any operation of a
+document's group fails, the whole group rolls back and every one of
+its tickets fails.  Document hosts apply deltas in place, so a failing
+delta fails only its own ticket.
 """
 
 from __future__ import annotations
@@ -367,10 +367,9 @@ class UpdateService:
         :meth:`start`.
 
         The checkpoint manifest carries a per-document covered-seq
-        vector (manifest v2; a v1 manifest loads with every document at
-        its global ``wal_seq``): each document's records replay only
-        past its *own* covered seq, so a fuzzy checkpoint's staggered
-        capture points recover exactly.  Replay work is bounded by the
+        vector: each document's records replay only past its *own*
+        covered seq, so a fuzzy checkpoint's staggered capture points
+        recover exactly.  Replay work is bounded by the
         post-checkpoint log length, not the service's lifetime.
         """
         if self._started:
@@ -845,34 +844,26 @@ class UpdateService:
 
 
 def _coalesce(entries: list[tuple[int, ServiceOp]]) -> list[ServiceOp]:
-    """Merge *adjacent* compatible relational operations.
+    """Merge each *adjacent* run of deletes on one relation into one call.
 
-    Only adjacent runs merge, so per-document submission order is
-    preserved (a delete-copy-delete sequence on the same relation stays
-    three invocations).  Deltas never merge.
+    Within such a run deletes are order-free and idempotent, so one call
+    over the union of ids leaves exactly the state the one-by-one WAL
+    replay leaves.  Copies never merge: each is logged (and replayed) as
+    its own call, and a merged copy assigns tuple ids in a different
+    order and collapses duplicate sources.  Deltas never merge.
     """
     groups: list[ServiceOp] = []
-    last_key: Optional[tuple] = None
     for _, op in entries:
-        key: Optional[tuple]
-        if isinstance(op, SubtreeDelete):
-            key = ("delete", op.relation)
-        elif isinstance(op, SubtreeCopy):
-            key = ("copy", op.relation, op.new_parent_id)
-        else:
-            key = None
-        if key is not None and key == last_key:
-            previous = groups[-1]
-            assert isinstance(previous, (SubtreeDelete, SubtreeCopy))
+        previous = groups[-1] if groups else None
+        if (
+            isinstance(op, SubtreeDelete)
+            and isinstance(previous, SubtreeDelete)
+            and previous.relation == op.relation
+        ):
             get_registry().counter("batcher.ops_coalesced").inc()
-            merged_ids = previous.ids + op.ids
-            if isinstance(previous, SubtreeDelete):
-                groups[-1] = SubtreeDelete(previous.doc, previous.relation, merged_ids)
-            else:
-                groups[-1] = SubtreeCopy(
-                    previous.doc, previous.relation, merged_ids, previous.new_parent_id
-                )
+            groups[-1] = SubtreeDelete(
+                previous.doc, previous.relation, previous.ids + op.ids
+            )
         else:
             groups.append(op)
-        last_key = key
     return groups

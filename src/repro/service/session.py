@@ -1,8 +1,9 @@
 """Client sessions over an :class:`~repro.service.server.UpdateService`.
 
 A session is a thin, connection-like handle: it remembers a default
-timeout, tracks the tickets it issued so ``close()`` can wait for them,
-and offers typed helpers for the three operation kinds::
+timeout, tracks the tickets it issued that are still in flight so
+``close()`` can wait for them, and offers typed helpers for the three
+operation kinds::
 
     with service.open_session() as session:
         ticket = session.submit("doc.xml", delta_ops)   # async
@@ -17,6 +18,7 @@ not semantics.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -38,6 +40,9 @@ class Session:
     ) -> None:
         self._service = service
         self._default_timeout = default_timeout
+        # Unresolved tickets (plus any resolved since the last prune).
+        # Pipelined requests submit on several threads at once.
+        self._lock = threading.Lock()
         self._tickets: list[Ticket] = []
         self._closed = False
         get_registry().gauge("service.sessions.active").inc()
@@ -57,7 +62,9 @@ class Session:
         if not isinstance(operation, (DeltaUpdate, SubtreeDelete, SubtreeCopy)):
             operation = DeltaUpdate(doc, tuple(operation))
         ticket = self._service.submit(operation, timeout=self._effective(timeout))
-        self._tickets.append(ticket)
+        with self._lock:
+            self._prune_locked()
+            self._tickets.append(ticket)
         return ticket
 
     def submit_wait(
@@ -125,6 +132,21 @@ class Session:
         """Tickets issued by this session that have not resolved yet."""
         return sum(1 for ticket in self._tickets if not ticket.done)
 
+    def _prune_locked(self) -> None:
+        """Drop resolved tickets so the list stays as short as what is in
+        flight.  One that resolved with an apply error is counted into
+        ``session.close.failed`` here, exactly as :meth:`close` would."""
+        live: list[Ticket] = []
+        failed = 0
+        for ticket in self._tickets:
+            if not ticket.done:
+                live.append(ticket)
+            elif ticket.failed:
+                failed += 1
+        if failed:
+            get_registry().counter("session.close.failed").inc(failed)
+        self._tickets = live
+
     def close(self, timeout: Optional[float] = None) -> int:
         """Wait for this session's outstanding tickets, then detach.
 
@@ -148,8 +170,10 @@ class Session:
             if deadline_timeout is None
             else time.monotonic() + deadline_timeout
         )
+        with self._lock:
+            tickets, self._tickets = self._tickets, []
         undrained = failed = 0
-        for ticket in self._tickets:
+        for ticket in tickets:
             remaining = (
                 None if deadline is None else max(0.0, deadline - time.monotonic())
             )
@@ -163,7 +187,6 @@ class Session:
             registry.counter("session.close.undrained").inc(undrained)
         if failed:
             registry.counter("session.close.failed").inc(failed)
-        self._tickets.clear()
         return undrained
 
     def __enter__(self) -> "Session":

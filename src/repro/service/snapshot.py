@@ -13,8 +13,8 @@ manifest's top-level ``wal_seq`` is the **minimum** covered seq across
 documents — the retirement floor.  Recovery replays, per document, only
 records past that document's own covered seq, so a fuzzy checkpoint can
 capture documents one at a time (at different log positions) while
-commits continue.  v1 manifests (a single global ``wal_seq``) still
-load: every entry's covered seq defaults to the manifest's ``wal_seq``.
+commits continue.  Any other manifest version is refused with
+:class:`~repro.errors.CheckpointError`.
 
 Incremental checkpoints pass ``carry``: entries from the previous
 manifest whose documents are unchanged are re-referenced (same file,
@@ -64,9 +64,6 @@ from repro.service.faults import Filesystem
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 2
-#: Versions ``load_manifest`` understands.  v1 carried one global
-#: ``wal_seq``; its entries load with ``covered_seq`` = that value.
-READABLE_VERSIONS = (1, 2)
 
 
 def _slug(doc: str) -> str:
@@ -219,25 +216,22 @@ class SnapshotStore:
             with open(path, "rb") as handle:
                 payload = json.loads(handle.read().decode("ascii"))
             version = payload["version"]
-            if version not in READABLE_VERSIONS:
+            if version != MANIFEST_VERSION:
                 raise CheckpointError(
                     f"unsupported checkpoint manifest version {version!r}"
                 )
-            wal_seq = int(payload["wal_seq"])
             documents = {
                 doc: SnapshotEntry(
                     file=str(entry["file"]),
                     sha256=str(entry["sha256"]),
                     size=int(entry["size"]),
-                    # v1 predates per-document vectors: its quiesced
-                    # protocol guaranteed every document at wal_seq.
-                    covered_seq=(
-                        int(entry["covered_seq"]) if version >= 2 else wal_seq
-                    ),
+                    covered_seq=int(entry["covered_seq"]),
                 )
                 for doc, entry in payload["documents"].items()
             }
-            return CheckpointManifest(wal_seq=wal_seq, documents=documents)
+            return CheckpointManifest(
+                wal_seq=int(payload["wal_seq"]), documents=documents
+            )
         except (ValueError, KeyError, TypeError) as error:
             raise CheckpointError(f"malformed checkpoint manifest: {error}") from error
 

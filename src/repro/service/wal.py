@@ -16,9 +16,9 @@ stream.  Each segment::
 carry — it is written when the segment is created, so the high-water
 sequence number survives a checkpoint that retires every record-bearing
 segment (reopening an empty post-checkpoint log resumes numbering from
-the live segment's header instead of restarting at 1).  A legacy
-single-file log (magic ``XRWAL001``, 8-byte header, implicit base 1) is
-migrated in place by renaming it to segment 1.
+the live segment's header instead of restarting at 1).  A plain file
+at the base path itself is not a WAL: opening refuses it with
+:class:`~repro.errors.WalError` rather than start a fresh log beside it.
 
 Each record frame is ``<QII``: the record's sequence number (monotonic,
 starting at 1, continuous across segments), the payload length, and the
@@ -70,8 +70,6 @@ from repro.errors import WalError
 from repro.obs import get_registry, span
 from repro.service.faults import Filesystem
 
-#: Legacy single-file header: just the magic (implicit base_seq 1).
-MAGIC = b"XRWAL001"
 #: Segment header: magic + little-endian uint64 base sequence number.
 SEGMENT_MAGIC = b"XRWAL002"
 _BASE = struct.Struct("<Q")
@@ -101,7 +99,8 @@ def list_segments(base: str) -> list[tuple[int, str]]:
 
 
 def wal_exists(base: str) -> bool:
-    """True if a WAL (legacy file or any segment) exists at ``base``."""
+    """True if a WAL exists at ``base`` — any segment, or a file at the
+    bare path (which opening then refuses loudly)."""
     return os.path.exists(base) or bool(list_segments(base))
 
 
@@ -171,16 +170,12 @@ class WriteAheadLog:
         self._write_epoch = 0
         self._synced_epoch = 0
         self._closed = False
-        self._segments = list_segments(path)
         if os.path.exists(path):
-            # Legacy single-file log: adopt it as segment 1.
-            if self._segments:
-                raise WalError(
-                    f"{path} exists both as a legacy WAL file and as segments"
-                )
-            self.fs.replace(path, segment_path(path, 1))
-            self.fs.fsync_dir(self._dir)
-            self._segments = [(1, segment_path(path, 1))]
+            raise WalError(
+                f"{path} is a plain file; a WAL at this base path is the "
+                f"segment family {segment_path(path, 1)}, ..."
+            )
+        self._segments = list_segments(path)
         if not self._segments:
             self._segments = [(1, segment_path(path, 1))]
             file = self.fs.open(segment_path(path, 1), "a+b")
@@ -189,7 +184,6 @@ class WriteAheadLog:
             file.close()
             self.fs.fsync_dir(self._dir)
         self._file = self.fs.open(self._segments[-1][1], "a+b")
-        self._active_header = self._header_size(self._segments[-1][1])
         try:
             state = self._scan_locked()
         except Exception:
@@ -220,7 +214,7 @@ class WriteAheadLog:
             if (
                 self.max_segment_bytes is not None
                 and self._end_offset >= self.max_segment_bytes
-                and self._end_offset > self._active_header
+                and self._end_offset > SEGMENT_HEADER_SIZE
             ):
                 self._rotate_locked()
             seq = self._next_seq
@@ -352,7 +346,6 @@ class WriteAheadLog:
         self._file = file
         self._segments.append((index, path))
         self._end_offset = SEGMENT_HEADER_SIZE
-        self._active_header = SEGMENT_HEADER_SIZE
         get_registry().counter("wal.rotations").inc()
         return path
 
@@ -431,11 +424,6 @@ class WriteAheadLog:
 
     def records(self) -> list[WalRecord]:
         return self.scan()[0]
-
-    def _header_size(self, path: str) -> int:
-        with open(path, "rb") as handle:
-            magic = handle.read(len(SEGMENT_MAGIC))
-        return SEGMENT_HEADER_SIZE if magic == SEGMENT_MAGIC else len(MAGIC)
 
     def _segment_base(self, path: str) -> int:
         with open(path, "rb") as handle:
@@ -518,7 +506,7 @@ class WriteAheadLog:
             index, path = self._segments[-1]
             self._file.close()
             keep = state.tear_offset
-            if keep < self._header_size(path) and len(self._segments) > 1:
+            if keep < SEGMENT_HEADER_SIZE and len(self._segments) > 1:
                 # The segment's own header never finished (a crash during
                 # rotation): drop the file and resume on the previous one.
                 self.fs.remove(path)
@@ -537,7 +525,6 @@ class WriteAheadLog:
                     self.fs.truncate(self._file, keep)
                 self.fs.fsync(self._file)
                 self.fs.fsync_dir(self._dir)
-            self._active_header = self._header_size(self._segments[-1][1])
             state2 = self._scan_locked()
             self._end_offset = state2.active_end
             self._torn_bytes = 0
@@ -584,7 +571,7 @@ class WriteAheadLog:
     def bytes_since_rotation(self) -> int:
         """Record bytes in the live segment (the auto-checkpoint gauge)."""
         with self._lock:
-            return max(0, self._end_offset - self._active_header)
+            return max(0, self._end_offset - SEGMENT_HEADER_SIZE)
 
     @property
     def closed(self) -> bool:
@@ -631,19 +618,12 @@ def _parse_segment(
         if expected is not None and base != expected:
             return None  # stale or corrupt segment: not this stream's next
         offset = SEGMENT_HEADER_SIZE
-    elif data[: len(MAGIC)] == MAGIC:
-        offset = len(MAGIC)  # legacy header, implicit base 1
     else:
         # A crash while the segment header itself was being written
         # leaves a *prefix* of the magic (possibly empty): a torn
         # header, recoverable.  Anything else under strict_magic is not
         # a WAL at all — that is caller error, not a crash artifact.
-        head = data[: len(SEGMENT_MAGIC)]
-        if (
-            strict_magic
-            and not SEGMENT_MAGIC.startswith(head)
-            and not MAGIC.startswith(data[: len(MAGIC)])
-        ):
+        if strict_magic and not SEGMENT_MAGIC.startswith(data[: len(SEGMENT_MAGIC)]):
             raise WalError("not a WAL segment (bad magic)")
         return None
     records: list[WalRecord] = []

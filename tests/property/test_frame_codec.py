@@ -1,18 +1,19 @@
 """Property: the wire framing survives arbitrary TCP re-chunking.
 
 TCP is a byte stream with no framing of its own — one ``send`` may
-arrive as many reads, many sends as one.  The incremental
-:class:`FrameDecoder` must therefore emit *exactly* the frames that
-were encoded no matter where the stream is cut: byte-at-a-time,
-coalesced across frame boundaries, or split inside a length prefix.
-(The historical bug class this pins down: a receive loop that retried a
-partial read "from the top" desynchronised the stream and every
-subsequent frame decoded as garbage.)
+arrive as many reads, many sends as one.  The frame reader every
+asyncio speaker uses, :func:`read_frame_async`, must therefore yield
+*exactly* the frames that were encoded no matter where the stream is
+cut: byte-at-a-time, coalesced across frame boundaries, or split inside
+a length prefix.  (The historical bug class this pins down: a receive
+loop that retried a partial read "from the top" desynchronised the
+stream and every subsequent frame decoded as garbage.)
 
-Also here: the chunked-response (protocol v2) codec —
-``split_response`` → ``ChunkAssembler`` is the identity on any
-response, at any chunk size.
+Also here: the chunked-response codec — ``split_response`` →
+``ChunkAssembler`` is the identity on any response, at any chunk size.
 """
+
+import asyncio
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,8 @@ from repro.service.net import (
     HEADER,
     MAX_FRAME_BYTES,
     ChunkAssembler,
-    FrameDecoder,
     encode_frame,
+    read_frame_async,
     split_response,
 )
 
@@ -50,7 +51,35 @@ def cut_stream(stream, cuts):
     return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-class TestFrameDecoder:
+def read_all(pieces):
+    """Feed ``pieces`` to a stream one per event-loop turn while
+    :func:`read_frame_async` consumes it, then EOF; returns the frames
+    read (or raises what the reader raised)."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+
+        async def feed():
+            for piece in pieces:
+                reader.feed_data(piece)
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.create_task(feed())
+        frames = []
+        try:
+            while True:
+                frame = await asyncio.wait_for(read_frame_async(reader), 5.0)
+                if frame is None:
+                    return frames
+                frames.append(frame)
+        finally:
+            await feeder
+
+    return asyncio.run(run())
+
+
+class TestAsyncFrameReader:
     @settings(max_examples=120, deadline=None)
     @given(frames=st.lists(frame_objects, max_size=6), data=st.data())
     def test_random_fragmentation_never_desyncs(self, frames, data):
@@ -60,40 +89,33 @@ class TestFrameDecoder:
                 st.integers(min_value=0, max_value=len(stream)), max_size=24
             )
         )
-        decoder = FrameDecoder()
-        decoded = []
-        for piece in cut_stream(stream, cuts):
-            decoded.extend(decoder.feed(piece))
-        assert decoded == frames
-        assert not decoder.mid_frame
+        assert read_all(cut_stream(stream, cuts)) == frames
 
     def test_byte_at_a_time(self):
-        frames = [{"v": 1, "id": 1, "op": "ping"}, {"v": 2, "ok": True}]
+        frames = [{"v": 2, "id": 1, "op": "ping"}, {"v": 2, "ok": True}]
         stream = b"".join(encode_frame(frame) for frame in frames)
-        decoder = FrameDecoder()
-        decoded = []
-        for index in range(len(stream)):
-            decoded.extend(decoder.feed(stream[index : index + 1]))
-        assert decoded == frames
+        pieces = [stream[index : index + 1] for index in range(len(stream))]
+        assert read_all(pieces) == frames
 
-    def test_mid_frame_flag_tracks_partial_bytes(self):
-        decoder = FrameDecoder()
+    def test_eof_mid_frame_is_a_protocol_error(self):
         stream = encode_frame({"id": 1})
-        assert not decoder.mid_frame
-        assert decoder.feed(stream[:3]) == []
-        assert decoder.mid_frame  # a partial length prefix counts
-        assert decoder.feed(stream[3:]) == [{"id": 1}]
-        assert not decoder.mid_frame
+        assert read_all([stream]) == [{"id": 1}]  # EOF at a boundary: clean
+        for cut in (1, 3, len(stream) - 1):  # a partial prefix counts
+            with pytest.raises(ProtocolError, match="mid-frame"):
+                read_all([stream[:cut]])
 
     def test_oversized_length_prefix_is_rejected_up_front(self):
-        decoder = FrameDecoder()
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(HEADER.pack(MAX_FRAME_BYTES + 1))  # no payload, no EOF
+            await asyncio.wait_for(read_frame_async(reader), 5.0)
+
         with pytest.raises(ProtocolError):
-            decoder.feed(HEADER.pack(MAX_FRAME_BYTES + 1))
+            asyncio.run(run())
 
     def test_garbage_payload_is_a_protocol_error(self):
-        decoder = FrameDecoder()
         with pytest.raises(ProtocolError):
-            decoder.feed(HEADER.pack(4) + b"\xff\xfe\xfd\xfc")
+            read_all([HEADER.pack(4) + b"\xff\xfe\xfd\xfc"])
 
 
 class TestChunkCodecRoundTrip:
@@ -142,9 +164,14 @@ class TestChunkCodecRoundTrip:
         with pytest.raises(ProtocolError):
             assembler.feed(frames[2])  # skipped frames[1]
 
-    def test_v1_and_error_responses_pass_through_untouched(self):
-        huge = {"v": 1, "id": 2, "ok": True, "text": "t" * 4096}
-        assert split_response(dict(huge), 16) == [huge]
-        failed = {"v": 2, "id": 2, "ok": False, "error": {"code": "ERROR"}}
+    def test_small_and_error_responses_pass_through_untouched(self):
+        small = {"v": 2, "id": 2, "ok": True, "text": "t" * 16}
+        assert split_response(dict(small), 16) == [small]
+        failed = {
+            "v": 2,
+            "id": 2,
+            "ok": False,
+            "error": {"code": "ERROR", "message": "m" * 4096},
+        }
         assert split_response(dict(failed), 16) == [failed]
-        assert ChunkAssembler().feed(dict(huge)) == huge
+        assert ChunkAssembler().feed(dict(small)) == small

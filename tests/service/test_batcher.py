@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.service import ServiceConfig, SubtreeCopy, SubtreeDelete, UpdateService
 from repro.service.batcher import GroupCommitBatcher
 from repro.workloads.synthetic import SyntheticParams
+from repro.xmlmodel.serializer import serialize
 
 
 def spawn(target):
@@ -106,6 +107,54 @@ class TestCoalescing:
         assert after == before + len(ids)
         store.close()
 
+    def test_same_source_copies_apply_twice_live_and_after_recovery(
+        self, master, tmp_path
+    ):
+        """Failing before: two copies of one source in one batch merged
+        into one call over a de-duplicated id set — both acked, applied
+        once live, but twice when recovery replayed the two records."""
+        self._check_copies_match_recovery(master, tmp_path, [0, 0])
+
+    def test_descending_copies_get_the_same_ids_after_recovery(
+        self, master, tmp_path
+    ):
+        """Failing before: a merged copy ran over the *sorted* id set, so
+        copies submitted in descending order got their new tuple ids in
+        a different order live than when replayed one by one."""
+        self._check_copies_match_recovery(master, tmp_path, [3, 2, 1])
+
+    @staticmethod
+    def _check_copies_match_recovery(master, tmp_path, picks):
+        wal_path = str(tmp_path / "copies.wal")
+        live = master.snapshot()
+        root_id = live.db.query_one('SELECT id FROM "root"')[0]
+        ids = subtree_ids(live, max(picks) + 1)
+        before = live.db.query_one('SELECT COUNT(*) FROM "n1"')[0]
+        # The coalesce window puts every copy into one batch.
+        config = ServiceConfig(wal_path=wal_path, batch_size=64, coalesce_wait=0.1)
+        service = UpdateService(config)
+        service.host_store("db.xml", live)
+        service.start()
+        tickets = [
+            service.submit(SubtreeCopy("db.xml", "n1", (ids[pick],), root_id))
+            for pick in picks
+        ]
+        for ticket in tickets:
+            ticket.wait(30)
+        service.close()
+        assert live.db.query_one('SELECT COUNT(*) FROM "n1"')[0] == before + len(picks)
+        expected = serialize(live.to_document())
+        live.close()
+
+        restored = master.snapshot()
+        recovery = UpdateService(config)
+        recovery.host_store("db.xml", restored)
+        assert recovery.recover().applied == len(picks)
+        recovered = serialize(restored.to_document())
+        recovery.close()
+        restored.close()
+        assert recovered == expected
+
     def test_order_preserving_coalescing(self):
         """delete/copy/delete on one relation must stay three invocations."""
         from repro.service.server import _coalesce
@@ -116,7 +165,7 @@ class TestCoalescing:
             (2, SubtreeCopy("d", "n1", (3,), 99)),
             (3, SubtreeDelete("d", "n1", (4,))),
             (4, SubtreeCopy("d", "n1", (5,), 99)),
-            (5, SubtreeCopy("d", "n1", (6,), 98)),  # different parent: no merge
+            (5, SubtreeCopy("d", "n1", (6,), 99)),  # copies never merge
         ]
         groups = _coalesce(ops)
         assert [type(g).__name__ for g in groups] == [

@@ -391,12 +391,13 @@ class TestFuzzyCheckpoint:
         assert manifest.documents[DOC_B].covered_seq == report.wal_seq
         service.close()
 
-    def test_v1_manifest_recovers_end_to_end(self, tmp_path):
+    def test_v1_manifest_fails_recovery_loudly(self, tmp_path):
         """A checkpoint directory written by the old quiesced protocol
-        (version-1 manifest, one global wal_seq) recovers, and the next
-        checkpoint rewrites it as v2."""
+        (version-1 manifest, one global wal_seq) stops recovery with a
+        CheckpointError instead of recovering from a guessed vector."""
         import json
 
+        from repro.errors import CheckpointError
         from repro.service.snapshot import MANIFEST_NAME
 
         wal_path = str(tmp_path / "v1.wal")
@@ -405,9 +406,6 @@ class TestFuzzyCheckpoint:
         for index in range(4):
             service.submit_wait(DeltaUpdate(DOC, (entry_op(index),)))
         service.checkpoint()
-        for index in range(4, 6):
-            service.submit_wait(DeltaUpdate(DOC, (entry_op(index),)))
-        expected = service.query(DOC)
         service.close()
 
         manifest_path = os.path.join(wal_path + ".ckpt", MANIFEST_NAME)
@@ -420,15 +418,8 @@ class TestFuzzyCheckpoint:
             json.dump(payload, handle)
 
         restarted = make_service(wal_path)
-        recovery = restarted.recover()
-        assert recovery.snapshot_docs == 1
-        assert recovery.applied == 2  # only the post-checkpoint tail
-        restarted.start()
-        assert restarted.query(DOC) == expected
-        report = restarted.checkpoint()
-        assert report.documents == 1
-        with open(manifest_path) as handle:
-            assert json.load(handle)["version"] == 2
+        with pytest.raises(CheckpointError, match="version 1"):
+            restarted.recover()
         restarted.close()
 
 

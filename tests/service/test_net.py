@@ -22,14 +22,15 @@ import pytest
 from repro.errors import (
     ProtocolError,
     ServiceBusyError,
+    ServiceClosedError,
     ServiceConnectionError,
     ServiceError,
     ServiceTimeoutError,
 )
 from repro.obs import get_registry
 from repro.service import (
+    AsyncNetServer,
     DeltaUpdate,
-    NetServer,
     ServiceClient,
     ServiceConfig,
     UpdateService,
@@ -62,7 +63,7 @@ def make_service(**overrides):
 @pytest.fixture
 def served():
     service = make_service()
-    server = NetServer(service, own_service=True).start()
+    server = AsyncNetServer(service, own_service=True).start()
     client = ServiceClient(*server.address)
     yield service, server, client
     client.close()
@@ -112,7 +113,7 @@ class TestRoundTrip:
 
     def test_checkpoint_over_the_wire(self, tmp_path):
         service = make_service(wal_path=str(tmp_path / "doc.wal"))
-        with NetServer(service, own_service=True) as server:
+        with AsyncNetServer(service, own_service=True) as server:
             with ServiceClient(*server.address) as client:
                 client.submit_wait(entry_op(1))
                 report = client.checkpoint()
@@ -132,7 +133,7 @@ class TestAdmissionControl:
             original_apply(op)
 
         host.apply = slow_apply
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         try:
             before = get_registry().counter("net.rejected").value
@@ -162,7 +163,7 @@ class TestAdmissionControl:
 
     def test_connection_limit_answers_busy_and_closes(self):
         service = make_service()
-        server = NetServer(service, max_connections=1, own_service=True).start()
+        server = AsyncNetServer(service, max_connections=1, own_service=True).start()
         first = ServiceClient(*server.address)
         try:
             assert first.ping() == [DOC]  # ensures the first conn is registered
@@ -182,7 +183,7 @@ class TestAdmissionControl:
         gate = threading.Event()
         original_apply = host.apply
         host.apply = lambda op: (gate.wait(JOIN_TIMEOUT), original_apply(op))
-        server = NetServer(service, max_inflight=2, own_service=True).start()
+        server = AsyncNetServer(service, max_inflight=2, own_service=True).start()
         client = ServiceClient(*server.address)
         try:
             submitted = 0
@@ -203,7 +204,7 @@ class TestDrain:
     def test_drain_makes_acked_async_submits_durable(self, tmp_path):
         wal_path = str(tmp_path / "doc.wal")
         service = make_service(wal_path=wal_path)
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         acked = 0
         for index in range(20):
@@ -258,6 +259,34 @@ class TestTypedClientErrors:
         finally:
             listener.close()
 
+    def test_close_fails_a_waiting_call_promptly(self):
+        """Closing a shared client from one thread releases a call another
+        thread is waiting on, instead of leaving it to its timeout."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        outcome = {}
+        try:
+            client = ServiceClient(*listener.getsockname()[:2], request_timeout=30)
+
+            def waiter():
+                try:
+                    client.ping()
+                except ServiceError as error:
+                    outcome["error"] = error
+
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            time.sleep(0.2)  # the ping is in flight against a silent server
+            started = time.monotonic()
+            client.close()
+            thread.join(JOIN_TIMEOUT)
+            assert not thread.is_alive()
+            assert time.monotonic() - started < 5.0
+            assert isinstance(outcome.get("error"), ServiceClosedError)
+        finally:
+            listener.close()
+
     def test_killed_server_mid_request_raises_typed_error(self):
         """A connection dropped mid-request maps to the typed
         connection error — the caller never sees the raw OSError."""
@@ -297,7 +326,7 @@ class TestTypedClientErrors:
     def test_request_timeout_maps_to_service_timeout(self):
         service = make_service(query_workers=1)
         gate = threading.Event()
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         blocker_started = threading.Event()
 
@@ -332,10 +361,11 @@ class TestProtocol:
 
     def test_version_mismatch_is_bad_request(self, served):
         _service, server, _client = served
-        response = self._raw(server, {"v": 99, "id": 1, "op": "ping"})
-        assert response["ok"] is False
-        assert response["error"]["code"] == "BAD_REQUEST"
-        assert str(PROTOCOL_VERSION) in response["error"]["message"]
+        for version in (1, 99):  # 1 included: only one version is answered
+            response = self._raw(server, {"v": version, "id": 1, "op": "ping"})
+            assert response["ok"] is False
+            assert response["error"]["code"] == "BAD_REQUEST"
+            assert str(PROTOCOL_VERSION) in response["error"]["message"]
 
     def test_unknown_request_kind_is_bad_request(self, served):
         _service, server, _client = served
@@ -374,7 +404,12 @@ class TestProtocol:
             request = recv_frame(conn)
             send_frame(
                 conn,
-                {"v": 1, "id": request["id"] + 7, "ok": True, "pong": True},
+                {
+                    "v": PROTOCOL_VERSION,
+                    "id": request["id"] + 7,
+                    "ok": True,
+                    "pong": True,
+                },
             )
             conn.close()
 
@@ -408,7 +443,7 @@ class TestMetrics:
     def test_connection_gauge_and_request_counters_move(self):
         registry = get_registry()
         service = make_service()
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         requests_before = registry.counter("net.requests").value
         client = ServiceClient(*server.address)
         client.ping()

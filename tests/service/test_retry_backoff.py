@@ -17,7 +17,6 @@ import pytest
 from repro.errors import ServiceBusyError
 from repro.service import AsyncServiceClient, ServiceClient
 from repro.service.net.core import error_frame, recv_frame, send_frame
-from repro.service.net.threaded import ServiceClient as ThreadedClient
 from repro.service.ops import DeltaUpdate
 from repro.updates.delta import InsertNode
 
@@ -48,12 +47,7 @@ def busy_server():
                 if request is None:
                     return
                 send_frame(
-                    conn,
-                    error_frame(
-                        request.get("id", 0),
-                        ServiceBusyError("saturated"),
-                        version=request.get("v", 1),
-                    ),
+                    conn, error_frame(request.get("id", 0), ServiceBusyError("saturated"))
                 )
 
     def accept_loop():
@@ -79,6 +73,8 @@ def busy_server():
 
 
 def test_threaded_retries_never_outlive_the_deadline(busy_server):
+    """The blocking client (a façade driving the async client from its
+    own loop thread) inherits the deadline cap."""
     host, port = busy_server
     with ServiceClient(host, port) as client:
         start = time.monotonic()
@@ -119,23 +115,38 @@ def test_zero_retries_surfaces_busy_immediately(busy_server):
 
 
 # ----------------------------------------------------------------------
-# The backoff schedule itself (no sockets: drive _retry_busy directly)
+# The backoff schedule itself (no sockets: drive _retry_busy directly;
+# the blocking client runs the same coroutine on its loop thread)
 # ----------------------------------------------------------------------
-def always_busy():
+async def always_busy():
     raise ServiceBusyError("saturated")
+
+
+def retry(attempt, retries, backoff, deadline):
+    async def drive():
+        await AsyncServiceClient._retry_busy(None, attempt, retries, backoff, deadline)
+
+    asyncio.run(drive())
+
+
+def record_sleeps(monkeypatch, sleeps, *, real=False):
+    real_sleep = asyncio.sleep
+
+    async def fake_sleep(delay):
+        sleeps.append(delay)
+        if real:
+            await real_sleep(delay)
+
+    monkeypatch.setattr("repro.service.net.aio.asyncio.sleep", fake_sleep)
 
 
 def test_backoff_is_exponential_and_jittered(monkeypatch):
     sleeps = []
     rolls = iter([0.0, 1.0, 0.5, 0.0, 1.0, 0.5, 0.0, 1.0])
-    monkeypatch.setattr("repro.service.net.threaded.time.sleep", sleeps.append)
-    monkeypatch.setattr(
-        "repro.service.net.threaded.random.random", lambda: next(rolls)
-    )
+    record_sleeps(monkeypatch, sleeps)
+    monkeypatch.setattr("repro.service.net.aio.random.random", lambda: next(rolls))
     with pytest.raises(ServiceBusyError):
-        ThreadedClient._retry_busy(
-            None, always_busy, 3, 0.1, time.monotonic() + 60.0
-        )
+        retry(always_busy, 3, 0.1, time.monotonic() + 60.0)
     assert len(sleeps) == 3  # 4 attempts, no sleep after the last
     # delay = backoff * 2**retry * (0.5 + roll/2): the jitter factor
     # spans [0.5x, 1x] of the deterministic schedule.
@@ -145,19 +156,13 @@ def test_backoff_is_exponential_and_jittered(monkeypatch):
 
 
 def test_backoff_sleep_is_clamped_to_remaining_time(monkeypatch):
-    real_sleep = time.sleep
     sleeps = []
-
-    def recording_sleep(delay):
-        sleeps.append(delay)
-        real_sleep(delay)
-
-    monkeypatch.setattr("repro.service.net.threaded.time.sleep", recording_sleep)
-    monkeypatch.setattr("repro.service.net.threaded.random.random", lambda: 1.0)
+    record_sleeps(monkeypatch, sleeps, real=True)
+    monkeypatch.setattr("repro.service.net.aio.random.random", lambda: 1.0)
     deadline = time.monotonic() + 0.25
     with pytest.raises(ServiceBusyError):
         # backoff=10 wants a 10s first nap; remaining is ~0.25s.
-        ThreadedClient._retry_busy(None, always_busy, 50, 10.0, deadline)
+        retry(always_busy, 50, 10.0, deadline)
     assert sleeps, "expected at least one clamped sleep"
     assert all(delay <= 0.26 for delay in sleeps)
     # Once past the deadline the loop re-raises instead of burning the
@@ -167,36 +172,25 @@ def test_backoff_sleep_is_clamped_to_remaining_time(monkeypatch):
 
 def test_backoff_past_deadline_raises_without_sleeping(monkeypatch):
     sleeps = []
-    monkeypatch.setattr("repro.service.net.threaded.time.sleep", sleeps.append)
+    record_sleeps(monkeypatch, sleeps)
     attempts = []
 
-    def attempt():
+    async def attempt():
         attempts.append(1)
         raise ServiceBusyError("saturated")
 
     with pytest.raises(ServiceBusyError):
-        ThreadedClient._retry_busy(None, attempt, 50, 0.1, time.monotonic() - 1.0)
+        retry(attempt, 50, 0.1, time.monotonic() - 1.0)
     assert len(attempts) == 1  # one try, then straight out
     assert sleeps == []
 
 
 def test_async_backoff_schedule_matches_threaded(monkeypatch):
+    """Without jitter the schedule is plain doubling; the blocking
+    client runs this same coroutine on its loop thread."""
     sleeps = []
-
-    async def fake_sleep(delay):
-        sleeps.append(delay)
-
-    monkeypatch.setattr("repro.service.net.aio.asyncio.sleep", fake_sleep)
+    record_sleeps(monkeypatch, sleeps)
     monkeypatch.setattr("repro.service.net.aio.random.random", lambda: 1.0)
-
-    async def attempt():
-        raise ServiceBusyError("saturated")
-
-    async def drive():
-        with pytest.raises(ServiceBusyError):
-            await AsyncServiceClient._retry_busy(
-                None, attempt, 3, 0.1, time.monotonic() + 60.0
-            )
-
-    asyncio.run(drive())
+    with pytest.raises(ServiceBusyError):
+        retry(always_busy, 3, 0.1, time.monotonic() + 60.0)
     assert sleeps == pytest.approx([0.1, 0.2, 0.4])

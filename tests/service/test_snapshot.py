@@ -1,5 +1,6 @@
 """Checkpoint snapshot store: atomic writes, manifest commit, checksums,
-the v2 covered-seq vector, carry-forward entries, and v1 compatibility."""
+the v2 covered-seq vector, carry-forward entries, and refusal of any
+other manifest version."""
 
 import json
 import os
@@ -128,11 +129,11 @@ class TestCarryForward:
         assert store.load_manifest().wal_seq == 17
 
 
-class TestV1Compatibility:
-    def test_v1_manifest_loads_with_uniform_covered_seqs(self, store):
+class TestV1ManifestRefused:
+    def test_v1_manifest_is_refused(self, store):
         """A manifest written by the old quiesced protocol (version 1,
-        one global ``wal_seq``, no per-entry covered seq) must load with
-        every document covered at that global position."""
+        one global ``wal_seq``, no per-entry covered seq) is refused
+        loudly, not loaded with guessed covered seqs."""
         states = {"a.xml": b"<a/>", "b.xml": b"<b/>"}
         store.write_checkpoint(states, uniform(states, 6))
         path = os.path.join(store.directory, MANIFEST_NAME)
@@ -143,11 +144,8 @@ class TestV1Compatibility:
             del entry["covered_seq"]
         with open(path, "w") as handle:
             json.dump(payload, handle)
-        loaded = store.load_manifest()
-        assert loaded.wal_seq == 6
-        for doc in states:
-            assert loaded.documents[doc].covered_seq == 6
-            assert store.read_state(loaded, doc) == states[doc]
+        with pytest.raises(CheckpointError, match="version 1"):
+            store.load_manifest()
 
 
 class TestCorruptionDetection:
@@ -176,7 +174,7 @@ class TestCorruptionDetection:
 
     def test_v2_entry_missing_covered_seq_raises(self, store):
         """A version-2 manifest whose entries lack the vector is
-        corrupt, not a v1 fallback."""
+        corrupt."""
         store.write_checkpoint({"a.xml": b"bytes"}, {"a.xml": 4})
         path = os.path.join(store.directory, MANIFEST_NAME)
         with open(path) as handle:

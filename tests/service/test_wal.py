@@ -7,11 +7,9 @@ import pytest
 
 from repro.errors import WalError
 from repro.service.wal import (
-    MAGIC,
     SEGMENT_HEADER_SIZE,
     WriteAheadLog,
     list_segments,
-    segment_path,
     wal_exists,
 )
 
@@ -56,23 +54,17 @@ class TestAppendAndScan:
         with pytest.raises(WalError):
             WriteAheadLog(wal_path, sync_mode="sometimes")
 
-    def test_legacy_single_file_is_migrated(self, wal_path):
-        """A pre-segment WAL file (XRWAL001) is adopted as segment 1."""
-        frame_and_payload = b""
-        import struct
-        import zlib
-
-        payload = b"legacy-record"
-        frame_and_payload = (
-            struct.pack("<QII", 1, len(payload), zlib.crc32(payload)) + payload
-        )
+    def test_plain_file_at_base_path_is_refused(self, wal_path):
+        """A file at the bare base path (such as a pre-segment,
+        single-file log) is not adopted, and not silently ignored next
+        to a fresh segment family either: opening refuses it."""
         with open(wal_path, "wb") as handle:
-            handle.write(MAGIC + frame_and_payload)
-        with WriteAheadLog(wal_path) as wal:
-            assert [r.payload for r in wal.records()] == [payload]
-            assert wal.next_seq == 2
-        assert not os.path.exists(wal_path)  # renamed to the segment name
-        assert os.path.exists(segment_path(wal_path, 1))
+            handle.write(b"pre-segment single-file log")
+        with pytest.raises(WalError, match="plain file"):
+            WriteAheadLog(wal_path)
+        assert list_segments(wal_path) == []  # no fresh log beside it
+        with open(wal_path, "rb") as handle:
+            assert handle.read() == b"pre-segment single-file log"
         assert wal_exists(wal_path)
 
 

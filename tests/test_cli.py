@@ -128,13 +128,13 @@ class TestConnectCommand:
 
     @pytest.fixture
     def listening(self):
-        from repro.service import NetServer, ServiceConfig, UpdateService
+        from repro.service import AsyncNetServer, ServiceConfig, UpdateService
         from repro.xmlmodel.parser import XmlParser
 
         service = UpdateService(ServiceConfig(batch_size=4, coalesce_wait=0.002))
         service.host_document("custdb.xml", XmlParser(CUSTOMER_XML).parse())
         service.start()
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         host, port = server.address
         yield f"{host}:{port}", service
         server.close()
